@@ -23,15 +23,9 @@ Quickstart
 ... )
 >>> batch.values()
 (8.0, 8.0)
-
-Legacy entry points (``get_scheduler``, ``solve_dp``, ...) remain
-importable from here as deprecation shims; new code should go through
-:class:`Planner` / :func:`plan` and the unified registry.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.api.planner import (
     CacheInfo,
@@ -140,35 +134,12 @@ _LAZY_EXPORTS = {
     "environment_fingerprint": ("repro.perf.environment", "environment_fingerprint"),
 }
 
-# ----------------------------------------------------------------------
-# deprecation shims: pre-façade entry points stay importable from here
-# ----------------------------------------------------------------------
-_LEGACY = {
-    "get_scheduler": ("repro.algorithms.registry", "get_scheduler"),
-    "available_schedulers": ("repro.algorithms.registry", "available_schedulers"),
-    "scheduler_items": ("repro.algorithms.registry", "scheduler_items"),
-    "solve_dp": ("repro.core.dp", "solve_dp"),
-    "solve_exact": ("repro.core.brute_force", "solve_exact"),
-}
-
 
 def __getattr__(name: str):
-    """Resolve lazy conformance/perf exports and deprecated legacy names."""
+    """Resolve the lazy conformance/perf exports."""
     if name in _LAZY_EXPORTS:
         import importlib
 
         module_name, attr = _LAZY_EXPORTS[name]
-        return getattr(importlib.import_module(module_name), attr)
-    if name in _LEGACY:
-        module_name, attr = _LEGACY[name]
-        warnings.warn(
-            f"repro.api.{name} is a deprecation shim; use repro.api.Planner / "
-            f"the unified solver registry instead (or import {attr} from "
-            f"{module_name} directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
         return getattr(importlib.import_module(module_name), attr)
     raise AttributeError(f"module 'repro.api' has no attribute {name!r}")

@@ -35,7 +35,6 @@ import hashlib
 import json
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -231,30 +230,27 @@ def _from_table(
     return solver_fn
 
 
-#: Shared table cache for planner-less solves: process-pool ``plan_batch``
-#: workers and the planning service's shard workers
-#: (:func:`_plan_standalone`) amortize repeated same-network traffic here.
-#: Results stay bit-identical to direct solves, so callers cannot observe
-#: which path ran.
-_STANDALONE_TABLES: Optional[OptimalTableCache] = OptimalTableCache()
+#: The table cache of a *worker process*: process-pool ``plan_batch``
+#: workers and process-mode service shards (:func:`_plan_standalone`)
+#: amortize repeated same-network traffic here.  It is set only by the
+#: pool initializer :func:`configure_standalone_tables`; a process that
+#: plans through a :class:`Planner` uses that planner's cache instead, so
+#: outside worker processes this stays ``None`` (direct solves).  Results
+#: are bit-identical either way, so callers cannot observe which path ran.
+_STANDALONE_TABLES: Optional[OptimalTableCache] = None
 
 
 def configure_standalone_tables(config: Optional[TableCacheConfig]) -> None:
-    """Re-point the standalone table cache (worker-process initializer).
+    """Give this worker process its table cache (pool initializer).
 
-    The planning service passes its :class:`TableCacheConfig` here when it
-    spawns shard *processes*: with a ``snapshot_dir`` configured, every
-    worker's first miss attaches the same mmap'ed snapshot instead of
-    rebuilding a private table, and write-through saves keep the file
-    warm for restarts.  ``None`` (or a default config) restores the plain
-    in-memory cache; a config with ``enabled=False`` turns the standalone
-    fast path off entirely.
+    Process pools pass their owner's :class:`TableCacheConfig` here: with
+    a ``snapshot_dir`` configured, every worker's first miss attaches the
+    same mmap'ed snapshot instead of rebuilding a private table, and
+    write-through saves keep the file warm for restarts.  ``None`` means
+    the default config; ``enabled=False`` turns the table path off.
     """
     global _STANDALONE_TABLES
-    if config is None:
-        _STANDALONE_TABLES = OptimalTableCache()
-    else:
-        _STANDALONE_TABLES = config.build_cache()
+    _STANDALONE_TABLES = (config or TableCacheConfig()).build_cache()
 
 
 def _plan_standalone_with(
@@ -272,9 +268,9 @@ def _plan_standalone_with(
 
 
 def _plan_standalone(request: PlanRequest) -> PlanResult:
-    """Process-pool / service-shard entry point: no shared planner state.
+    """Worker-process entry point: no shared planner state.
 
-    Reuses the module-level :data:`_STANDALONE_TABLES` so a worker that
+    Reuses the process's :data:`_STANDALONE_TABLES` so a worker that
     keeps seeing the same network answers from its resident table.
     """
     return _plan_standalone_with(_STANDALONE_TABLES, request)
@@ -305,21 +301,15 @@ class Planner:
         later with :meth:`add_cache_tier`.
     table_config:
         One :class:`~repro.api.tables.TableCacheConfig` value holding
-        every table-cache knob: whether solvers that declare
+        the table-cache knobs: whether solvers that declare
         ``reusable_table`` (the Section 4 ``dp``) are served through a
         shared per-type-system
         :class:`~repro.api.tables.OptimalTableCache`, its resident-state
-        budget, the DP build backend, session pinning, and the snapshot
-        directory for zero-copy warm attach.  Answers through a table are
-        bit-identical to direct solves.  Defaults to
-        ``TableCacheConfig()`` (reuse on, no snapshots).
-    reuse_tables:
-        Shorthand for ``TableCacheConfig(enabled=...)``: benchmarks and
-        timing experiments that must measure real solves pass ``False``.
-        Not combinable with an explicit ``table_config``.
-    table_cache_states:
-        Deprecated alias for ``TableCacheConfig(max_total_states=...)``;
-        emits :class:`DeprecationWarning` (removal noted in API.md).
+        budget, and the snapshot directory for zero-copy warm attach.
+        Answers through a table are bit-identical to direct solves.
+        Defaults to ``TableCacheConfig()`` (reuse on, no snapshots);
+        benchmarks and timing experiments that must measure real solves
+        pass ``TableCacheConfig(enabled=False)``.
 
     Examples
     --------
@@ -335,38 +325,11 @@ class Planner:
         cache_size: int = 256,
         default_solver: str = DEFAULT_SOLVER,
         cache_tiers: Optional[Iterable[CacheTier]] = None,
-        reuse_tables: bool = True,
-        table_cache_states: Optional[int] = None,
         table_config: Optional[TableCacheConfig] = None,
     ) -> None:
         if cache_size < 0:
             raise ReproError(f"cache_size must be >= 0, got {cache_size}")
-        if table_config is not None:
-            if table_cache_states is not None:
-                raise ReproError(
-                    "pass either table_config or the deprecated "
-                    "table_cache_states, not both"
-                )
-            if not reuse_tables:
-                raise ReproError(
-                    "reuse_tables=False conflicts with table_config; "
-                    "use TableCacheConfig(enabled=False)"
-                )
-            config = table_config.validate()
-        else:
-            config = TableCacheConfig(enabled=reuse_tables)
-            if table_cache_states is not None:
-                warnings.warn(
-                    "table_cache_states is deprecated; pass "
-                    "table_config=TableCacheConfig(max_total_states=...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                if table_cache_states < 1:
-                    raise ReproError(
-                        f"table_cache_states must be >= 1, got {table_cache_states}"
-                    )
-                config = replace(config, max_total_states=table_cache_states)
+        config = (table_config or TableCacheConfig()).validate()
         self._cache: "OrderedDict[CacheKey, PlanResult]" = OrderedDict()
         self._cache_size = cache_size
         self._lock = threading.Lock()
@@ -729,7 +692,12 @@ class Planner:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 outcomes = list(pool.map(plan_one, enumerate(requests)))
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # workers plan under this planner's table policy
+            with ProcessPoolExecutor(
+                max_workers=jobs,
+                initializer=configure_standalone_tables,
+                initargs=(self._table_config,),
+            ) as pool:
                 outcomes = list(pool.map(_plan_standalone_or_error, requests))
         for outcome in outcomes:
             if isinstance(outcome, ReproError) and on_error == "raise":
@@ -805,15 +773,13 @@ class Planner:
         max_states: int,
     ) -> Optional[OptimalTable]:
         """A table for one group-solve bucket: cached when reuse is on,
-        batch-local otherwise (``reuse_tables=False`` still amortizes
+        batch-local otherwise (a disabled table cache still amortizes
         within the batch when group-solve is explicitly requested)."""
         if self._tables is not None:
             return self._tables.acquire_box(type_keys, latency, counts, max_states)
         if box_states(len(type_keys), counts) > max_states:
             return None  # pragma: no cover - filtered by the bucket pass
-        return OptimalTable(
-            type_keys, counts, latency, backend=self._table_config.backend
-        ).build()
+        return OptimalTable(type_keys, counts, latency).build()
 
     def prewarm_tables(self, instances: Iterable[MulticastSet]) -> int:
         """Group-build the optimal tables a sweep of instances will need.

@@ -33,7 +33,7 @@ by ``(type overheads, latency)``.
   conformance service-parity invariant compares it byte-for-byte).
 
 Benchmarks and experiments that need every plan to be a real solve
-construct their planner with ``reuse_tables=False``.
+construct their planner with ``TableCacheConfig(enabled=False)``.
 
 Snapshot persistence (``repro/table-snapshot-v1``) gives the cache the
 same warm-start story the :class:`~repro.service.store.PlanStore` gives
@@ -44,24 +44,32 @@ tries to *attach* the network's snapshot — a zero-copy mmap
 rebuild, sharing one resident copy of the pages across every process
 attached to the same file (the service's shard workers in particular).
 Corrupt or torn snapshot files are rejected fail-closed and discarded,
-so the worst outcome of a crash mid-save is one cold rebuild.
+so the worst outcome of a crash mid-save is one cold rebuild.  A snapshot
+is never replaced by a table that does not span it: one too large for a
+request's state budget is left in place and the request is solved
+directly, and a write-through is skipped when another cache (another
+worker process) has already grown the file past the table being saved.
 
-All the table-cache knobs live in one :class:`TableCacheConfig` value,
-which is also how :class:`~repro.api.planner.Planner` accepts them.
+The table-cache knobs live in one :class:`TableCacheConfig` value, which
+is also how :class:`~repro.api.planner.Planner` accepts them.  One
+process plans through one cache: the planning service's thread and
+inline shard workers solve through its planner's cache, and only
+process-mode workers build their own
+(:func:`repro.api.planner.configure_standalone_tables`).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.core.dp import DEFAULT_MAX_STATES, box_states
-from repro.core.dp_vector import DP_BACKENDS
 from repro.core.dp_table import OptimalTable
 from repro.core.multicast import MulticastSet
 from repro.exceptions import ReproError
@@ -99,50 +107,46 @@ def snapshot_filename(
     return f"table-{digest}.snap"
 
 
+def _snapshot_box(path: Path) -> Optional[Tuple[int, ...]]:
+    """The box a snapshot file claims to span, read from its header line.
+
+    Unverified (no digest or body hash), so it only ever decides whether
+    to *keep* a file; a missing or unreadable header reads as no file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline(1 << 20))
+        return tuple(int(c) for c in header["max_counts"])
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+
+
 @dataclass(frozen=True)
 class TableCacheConfig:
-    """Every table-cache knob of a :class:`~repro.api.planner.Planner`.
+    """The table-cache knobs of a :class:`~repro.api.planner.Planner`.
 
-    One value object instead of a growing pile of planner kwargs:
-
-    - ``enabled``: keep an :class:`OptimalTableCache` at all (the old
-      ``reuse_tables`` switch);
-    - ``max_total_states``: the cache-wide resident-state budget (the old
-      ``table_cache_states`` kwarg, now a deprecated alias);
-    - ``max_states``: default per-table state guard rail;
-    - ``backend``: DP engine for table builds — ``auto``/``scalar``/
-      ``vector``, resolved per box (bit-identical either way);
+    - ``enabled``: keep an :class:`OptimalTableCache` at all;
+    - ``max_total_states``: the cache-wide resident-state budget;
     - ``snapshot_dir``: directory of ``repro/table-snapshot-v1`` files;
       set, it turns on write-through persistence and zero-copy warm
-      attach on miss;
-    - ``snapshot_autosave``: write tables through on build/extension
-      (disable to manage :meth:`OptimalTableCache.save_snapshots`
-      explicitly);
-    - ``pin_sessions``: whether membership sessions pin their network's
-      table against eviction while a repair stream is live
-      (:mod:`repro.service.sessions`).
+      attach on miss.
+
+    Tables are built with the ``auto`` DP backend under the
+    :data:`~repro.core.dp.DEFAULT_MAX_STATES` per-table cap (a request's
+    own ``dp(max_states=...)`` option tightens it), and membership
+    sessions always pin their network's table while a repair stream is
+    live (:mod:`repro.service.sessions`).
     """
 
     enabled: bool = True
     max_total_states: int = DEFAULT_TABLE_BUDGET
-    max_states: int = DEFAULT_MAX_STATES
-    backend: str = "auto"
     snapshot_dir: Optional[Union[str, Path]] = None
-    snapshot_autosave: bool = True
-    pin_sessions: bool = True
 
     def validate(self) -> "TableCacheConfig":
         """Raise :class:`~repro.exceptions.ReproError` on nonsense values."""
         if self.max_total_states < 1:
             raise ReproError(
                 f"max_total_states must be >= 1, got {self.max_total_states}"
-            )
-        if self.max_states < 1:
-            raise ReproError(f"max_states must be >= 1, got {self.max_states}")
-        if self.backend not in DP_BACKENDS:
-            raise ReproError(
-                f"unknown table backend {self.backend!r}; "
-                f"expected one of {', '.join(DP_BACKENDS)}"
             )
         return self
 
@@ -153,17 +157,8 @@ class TableCacheConfig:
             return None
         return OptimalTableCache(
             max_total_states=self.max_total_states,
-            max_states=self.max_states,
-            backend=self.backend,
             snapshot_dir=self.snapshot_dir,
-            snapshot_autosave=self.snapshot_autosave,
         )
-
-    def with_snapshot_dir(
-        self, snapshot_dir: Optional[Union[str, Path]]
-    ) -> "TableCacheConfig":
-        """A copy pointing at ``snapshot_dir`` (convenience for services)."""
-        return replace(self, snapshot_dir=snapshot_dir)
 
 
 class OptimalTableCache:
@@ -175,47 +170,32 @@ class OptimalTableCache:
         Memory budget: the sum of every resident table's entry count.
         Least-recently-used tables are evicted until the budget holds; a
         single table over the whole budget is refused outright.
-    max_states:
-        Default per-table state budget (instances may tighten it via the
-        ``dp`` solver's ``max_states`` option; the cache never *grows* a
-        table past the effective budget and returns ``None`` instead,
-        letting the caller fall back to a direct solve).
-    backend:
-        DP engine handed to table builds (``auto``/``scalar``/``vector``).
     snapshot_dir:
         When set, misses first try a zero-copy mmap attach of the
-        network's ``repro/table-snapshot-v1`` file, and (with
-        ``snapshot_autosave``) builds and extensions write through to it.
-    snapshot_autosave:
-        Persist tables write-through on build/extension; off, snapshots
-        are only written by an explicit :meth:`save_snapshots`.
+        network's ``repro/table-snapshot-v1`` file, and builds and
+        extensions write through to it.
+
+    Each table is capped at :data:`~repro.core.dp.DEFAULT_MAX_STATES`
+    states unless a request passes a tighter ``max_states`` (the ``dp``
+    solver's option); the cache never *grows* a table past the effective
+    budget and returns ``None`` instead, letting the caller fall back to
+    a direct solve.
     """
 
     def __init__(
         self,
         max_total_states: int = DEFAULT_TABLE_BUDGET,
-        max_states: int = DEFAULT_MAX_STATES,
         *,
-        backend: str = "auto",
         snapshot_dir: Optional[Union[str, Path]] = None,
-        snapshot_autosave: bool = True,
     ) -> None:
         if max_total_states < 1:
             raise ReproError(
                 f"max_total_states must be >= 1, got {max_total_states}"
             )
-        if backend not in DP_BACKENDS:
-            raise ReproError(
-                f"unknown table backend {backend!r}; "
-                f"expected one of {', '.join(DP_BACKENDS)}"
-            )
         self._tables: "OrderedDict[TableKey, OptimalTable]" = OrderedDict()
         self._pins: Dict[TableKey, int] = {}
         self._max_total_states = max_total_states
-        self._max_states = max_states
-        self._backend = backend
         self._snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
-        self._snapshot_autosave = snapshot_autosave
         self._lock = threading.Lock()
         self._hits = 0
         self._builds = 0
@@ -287,7 +267,7 @@ class OptimalTableCache:
             }
 
     def _budget(self, max_states: Optional[int]) -> int:
-        per_table = self._max_states if max_states is None else max_states
+        per_table = DEFAULT_MAX_STATES if max_states is None else max_states
         return min(per_table, self._max_total_states)
 
     def acquire(
@@ -348,7 +328,12 @@ class OptimalTableCache:
             table = self._tables.get(key)
             attached = False
             if table is None and self._snapshot_dir is not None:
-                table = self._attach_snapshot(key, budget)
+                table = self._attach_snapshot(key)
+                if table is not None and table.entries > budget:
+                    # the shared snapshot is larger than this request may
+                    # hold: solve directly rather than build a smaller
+                    # table whose write-through would shrink the file
+                    return None
                 attached = table is not None
             if table is not None:
                 if not attached:
@@ -380,9 +365,7 @@ class OptimalTableCache:
                 if attached:
                     self._attaches += 1
             else:
-                table = OptimalTable(
-                    key[0], counts, latency, backend=self._backend
-                ).build()
+                table = OptimalTable(key[0], counts, latency).build()
                 self._builds += 1
             self._save_through(key, table)
             self._tables[key] = table
@@ -399,7 +382,7 @@ class OptimalTableCache:
         assert self._snapshot_dir is not None
         return self._snapshot_dir / snapshot_filename(key[0], key[1])
 
-    def _attach_snapshot(self, key: TableKey, budget: int) -> Optional[OptimalTable]:
+    def _attach_snapshot(self, key: TableKey) -> Optional[OptimalTable]:
         """Try a zero-copy attach of ``key``'s snapshot file (miss path).
 
         Fail-closed loading means a truncated or tampered file raises; the
@@ -427,48 +410,27 @@ class OptimalTableCache:
             except OSError:  # pragma: no cover - repair is best-effort
                 pass
             return None
-        if table.entries > budget:
-            return None
         return table
 
     def _save_through(self, key: TableKey, table: OptimalTable) -> None:
         """Write-through persistence after a build or extension."""
-        if self._snapshot_dir is None or not self._snapshot_autosave:
+        if self._snapshot_dir is None:
             return
         self._snapshot_dir.mkdir(parents=True, exist_ok=True)
         path = self._snapshot_path(key)
+        held = _snapshot_box(path)
+        if held is not None and any(
+            h > m for h, m in zip(held, table.spec.max_counts)
+        ):
+            # another cache grew the shared file past this table:
+            # replacing it would throw those entries away
+            return
         table.save_snapshot(path)
         self._snapshot_saves += 1
         if faults.ACTIVE is not None and faults.ACTIVE.fire("snapshot.corrupt"):
             # chaos: tamper with the just-written snapshot; the digest
             # check in _attach_snapshot must reject it and rebuild cold
             faults.corrupt_file(path)
-
-    def save_snapshots(self, directory: Optional[Union[str, Path]] = None) -> int:
-        """Persist every resident table as a snapshot; returns files written.
-
-        Tables that already came from (or were saved to) their snapshot
-        file unchanged are skipped.  With no ``directory`` argument the
-        cache's configured ``snapshot_dir`` is used.
-        """
-        target = Path(directory) if directory is not None else self._snapshot_dir
-        if target is None:
-            raise ReproError(
-                "save_snapshots needs a directory (none configured on the cache)"
-            )
-        target.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            items = list(self._tables.items())
-        written = 0
-        for key, table in items:
-            path = target / snapshot_filename(key[0], key[1])
-            if table._snapshot_origin == (path, table.entries):
-                continue
-            table.save_snapshot(path)
-            written += 1
-        with self._lock:
-            self._snapshot_saves += written
-        return written
 
     def release_box(
         self,

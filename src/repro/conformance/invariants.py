@@ -494,6 +494,7 @@ def _repair_identity(outcome: ScenarioOutcome) -> List[Violation]:
     # local imports: conformance must stay importable without the service
     # package loaded, and repro.service.sessions imports nothing back
     from repro.api.solvers import resolve
+    from repro.api.tables import TableCacheConfig
     from repro.core.repair import apply_delta, churn_chain
     from repro.service.sessions import SessionManager
 
@@ -504,7 +505,7 @@ def _repair_identity(outcome: ScenarioOutcome) -> List[Violation]:
             continue
         chain = churn_chain(outcome.mset, seed=outcome.spec.seed, length=3)
         manager = SessionManager(Planner(cache_size=0))
-        cold = Planner(cache_size=0, reuse_tables=False)
+        cold = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
         opened = manager.open(PlanRequest(instance=outcome.mset, solver=name))
         try:
             mset = outcome.mset

@@ -20,14 +20,12 @@ count vector ``i <= n`` bottom-up.  Afterwards:
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.core.dp import TypeSystem, _DPCore, box_states
-from repro.core.dp_vector import _VectorCore, _numpy, core_cls_for
+from repro.core.dp_vector import _VectorCore, _buffers_from_lists, core_cls_for
 from repro.core.multicast import MulticastSet
 from repro.core.schedule import Schedule
 from repro.exceptions import ReproError, SolverError
@@ -63,10 +61,10 @@ class OptimalTable:
         The network latency ``L``.
     backend:
         Recurrence engine: ``"scalar"``, ``"vector"`` or the default
-        ``"auto"`` (the vectorized core for large boxes when numpy is
-        importable).  Both engines are bit-identical — values, argmin
-        choices, schedules *and* snapshot bytes — so the choice only
-        affects build speed.
+        ``"auto"`` (the vectorized core for large heterogeneous boxes).
+        Both engines are bit-identical — values, argmin choices,
+        schedules *and* snapshot bytes — so the choice only affects build
+        speed.
     """
 
     def __init__(
@@ -89,7 +87,6 @@ class OptimalTable:
             max_counts=tuple(int(c) for c in max_counts),
             latency=latency,
         )
-        self.backend = backend
         core_cls = core_cls_for(
             backend,
             k=len(overheads),
@@ -97,10 +94,6 @@ class OptimalTable:
         )
         self._core = core_cls(self.spec.types, latency)
         self._built = False
-        #: Set when this table came from / was saved to a snapshot file:
-        #: ``(path, entries at that time)`` — lets the cache skip
-        #: re-writing unchanged tables.
-        self._snapshot_origin: Union[Tuple[Path, int], None] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -137,10 +130,8 @@ class OptimalTable:
         grown = tuple(max(c, m) for c, m in zip(counts, self.spec.max_counts))
         table = OptimalTable.__new__(OptimalTable)
         table.spec = replace(self.spec, max_counts=grown)
-        table.backend = self.backend
         table._core = self._core.extended_to(grown)
         table._built = True
-        table._snapshot_origin = None
         return table
 
     @property
@@ -181,7 +172,6 @@ class OptimalTable:
             "endian": "little",
         }
         write_snapshot(path, header, sections)
-        self._snapshot_origin = (path, core.states_filled)
         return path
 
     @classmethod
@@ -216,23 +206,16 @@ class OptimalTable:
         k = table.spec.types.k
         if entries != box_states(k, max_counts):
             raise ReproError(f"snapshot {path.name} entry count is inconsistent")
-        np = _numpy()
-        taus, ells, ysps = [], [], []
-        for s in range(k):
-            raw = (snap.view(f"tau-{s}"), snap.view(f"ell-{s}"), snap.view(f"ysplit-{s}"))
-            if np is not None:
-                taus.append(np.frombuffer(raw[0], dtype="<f8"))
-                ells.append(np.frombuffer(raw[1], dtype=np.int8))
-                ysps.append(np.frombuffer(raw[2], dtype="<i8"))
-            else:
-                taus.append(raw[0].cast("d"))
-                ells.append(raw[1].cast("b"))
-                ysps.append(raw[2].cast("q"))
+        import numpy as np
+
+        planes = [
+            [np.frombuffer(snap.view(f"{name}-{s}"), dtype=dtype) for s in range(k)]
+            for name, dtype in (("tau", "<f8"), ("ell", np.int8), ("ysplit", "<i8"))
+        ]
         table._core = _VectorCore.from_flat(
-            table.spec.types, latency, max_counts, taus, ells, ysps, owner=snap
+            table.spec.types, latency, max_counts, *planes, owner=snap
         )
         table._built = True
-        table._snapshot_origin = (path, entries)
         return table
 
     # ------------------------------------------------------------------
@@ -295,7 +278,7 @@ class OptimalTable:
 
 
 def _core_planes(core, s: int):
-    """The three flat packed planes of source type ``s`` (any engine).
+    """The three flat packed planes of source type ``s`` (either engine).
 
     A scalar core's list-of-tuples choice storage converts to the flat
     ``(ell, ysplit)`` planes here — ``None`` becomes ``(-1, 0)`` exactly
@@ -304,21 +287,13 @@ def _core_planes(core, s: int):
     """
     if isinstance(core, _VectorCore):
         return core._tau[s], core._ell[s], core._ysplit[s]
-    tau = array("d", core._tau[s])
-    ell = array("b", [-1 if c is None else c[0] for c in core._choice[s]])
-    ysp = array("q", [0 if c is None else c[1] for c in core._choice[s]])
-    return tau, ell, ysp
+    import numpy as np
+
+    return _buffers_from_lists(np, core._tau[s], core._choice[s])
 
 
 def _plane_bytes(plane) -> bytes:
-    """Little-endian raw bytes of one plane (numpy / array / memoryview)."""
-    if isinstance(plane, array):
-        if sys.byteorder != "little":  # pragma: no cover - LE everywhere we run
-            plane = array(plane.typecode, plane)
-            plane.byteswap()
-        return plane.tobytes()
-    if isinstance(plane, memoryview):
-        return plane.tobytes()
+    """Little-endian raw bytes of one numpy plane."""
     dtype = plane.dtype.newbyteorder("<")
     return plane.astype(dtype, copy=False).tobytes()
 

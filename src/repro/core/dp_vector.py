@@ -14,11 +14,10 @@ table —
 Both are therefore *strided slices* of the flat per-source table, and the
 whole inner minimization collapses to ``argmin(maximum(A + c1, B + c2))``
 over two array views — one vector expression per ``(state, l, s)`` instead
-of ``O(prod i_j)`` interpreted steps.  With ``numpy`` the slab is evaluated
-by the C kernels; without it the same flat layout is kept in stdlib
-``array`` buffers and each slab is materialized with a list comprehension
-and reduced by C-level ``min``/``index`` — portable, and byte-compatible
-with the snapshot format either way.
+of ``O(prod i_j)`` interpreted steps, evaluated by numpy's C kernels.
+numpy is imported on first use, not with this module, so planning paths
+that never build a large table (greedy traffic, small boxes, service
+startup) never load it.
 
 Bit-identity with the scalar engine is a hard contract, not an aspiration:
 
@@ -32,7 +31,7 @@ Bit-identity with the scalar engine is a hard contract, not an aspiration:
 
 So values, argmin splits, reconstructed schedules and ``states_computed``
 all match the scalar DP bit for bit (asserted over the conformance corpus
-and by a Hypothesis property suite, on both engines).
+and by a Hypothesis property suite).
 
 The flat choice storage (``int8`` first-child type + ``int64`` packed
 split per entry) doubles as the on-disk layout of
@@ -42,14 +41,12 @@ what makes zero-copy mmap attach possible: a snapshot *is* a
 
 Backend selection rides the solver-spec grammar — ``dp(backend=vector)``,
 ``dp(backend=scalar)``, or the default ``dp(backend=auto)`` which picks
-the vectorized engine for large boxes when ``numpy`` is importable (the
-choice is unobservable in outputs, by the identity contract above).
+the vectorized engine for large heterogeneous boxes (the choice is
+unobservable in outputs, by the identity contract above).
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.dp import (
@@ -66,8 +63,6 @@ from repro.exceptions import SolverError
 __all__ = [
     "DP_BACKENDS",
     "AUTO_VECTOR_MIN_STATES",
-    "numpy_available",
-    "vector_engine",
     "resolve_backend",
     "solve_dp_vector",
     "solve_dp_backend",
@@ -82,31 +77,6 @@ DP_BACKENDS = ("auto", "scalar", "vector")
 #: boxes are dominated by per-slab dispatch overhead, not element work.
 AUTO_VECTOR_MIN_STATES = 2048
 
-#: Environment kill-switch: force the stdlib ``array`` engine even when
-#: numpy is importable (the no-numpy CI leg sets this; tests monkeypatch it).
-NO_NUMPY_ENV = "REPRO_NO_NUMPY"
-
-
-def _numpy():
-    """The numpy module, or ``None`` when absent or disabled via env."""
-    if os.environ.get(NO_NUMPY_ENV):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-        return None
-    return numpy
-
-
-def numpy_available() -> bool:
-    """Whether the vector backend would use numpy right now."""
-    return _numpy() is not None
-
-
-def vector_engine() -> str:
-    """The slab engine the vector backend resolves to: ``numpy`` or ``array``."""
-    return "numpy" if numpy_available() else "array"
-
 
 # ----------------------------------------------------------------------
 # flat buffer construction helpers
@@ -118,30 +88,17 @@ def _buffers_from_lists(np, tau_list, choice_list):
     layout is fully determined — snapshots of scalar-built and
     vector-built tables are byte-identical.
     """
-    ell_list = [-1 if c is None else c[0] for c in choice_list]
-    y_list = [0 if c is None else c[1] for c in choice_list]
-    if np is not None:
-        return (
-            np.array(tau_list, dtype=np.float64),
-            np.array(ell_list, dtype=np.int8),
-            np.array(y_list, dtype=np.int64),
-        )
     return (
-        array("d", tau_list),
-        array("b", ell_list),
-        array("q", y_list),
+        np.array(tau_list, dtype=np.float64),
+        np.array([-1 if c is None else c[0] for c in choice_list], dtype=np.int8),
+        np.array([0 if c is None else c[1] for c in choice_list], dtype=np.int64),
     )
 
 
 def _zero_buffers(np, k: int, size: int):
-    if np is not None:
-        tau = [np.zeros(size, dtype=np.float64) for _ in range(k)]
-        ell = [np.full(size, -1, dtype=np.int8) for _ in range(k)]
-        ysp = [np.zeros(size, dtype=np.int64) for _ in range(k)]
-    else:
-        tau = [array("d", bytes(8 * size)) for _ in range(k)]
-        ell = [array("b", b"\xff" * size) for _ in range(k)]
-        ysp = [array("q", bytes(8 * size)) for _ in range(k)]
+    tau = [np.zeros(size, dtype=np.float64) for _ in range(k)]
+    ell = [np.full(size, -1, dtype=np.int8) for _ in range(k)]
+    ysp = [np.zeros(size, dtype=np.int64) for _ in range(k)]
     return tau, ell, ysp
 
 
@@ -224,76 +181,6 @@ def _fill_general_numpy(
                         ycode += d * strides[j]
                     best_y = ycode
             tau[s][code] = best
-            ell_out[s][code] = best_ell
-            y_out[s][code] = best_y
-
-
-def _fill_general_flat(
-    k: int,
-    size: int,
-    max_counts: Counts,
-    strides: Sequence[int],
-    sends: Sequence[float],
-    recvs: Sequence[float],
-    L: float,
-    tau,
-    ell_out,
-    y_out,
-    skip_inside: Optional[Counts] = None,
-) -> None:
-    """The stdlib fallback: same slab walk, materialized per candidate list.
-
-    Each state's candidate slab is built as one list comprehension and
-    reduced with C-level ``min``/``list.index`` — ``max(a, b)`` keeps the
-    first argument on ties and ``index`` returns the first minimum, which
-    reproduces the scalar loop's tie-breaking exactly.
-    """
-    inf = float("inf")
-    mult = [
-        [i * strides[j] for i in range(max_counts[j] + 1)] for j in range(k)
-    ]
-    digits = [0] * k
-    for code in range(1, size):
-        for j in range(k):
-            if digits[j] < max_counts[j]:
-                digits[j] += 1
-                break
-            digits[j] = 0
-        if skip_inside is not None and all(
-            d <= m for d, m in zip(digits, skip_inside)
-        ):
-            continue
-        avail: List[Tuple[int, List[int]]] = []
-        for ell in range(k):
-            c_ell = digits[ell]
-            if c_ell < 1:
-                continue
-            ycodes = [0]
-            for j in range(k):
-                lim = c_ell if j == ell else digits[j] + 1
-                mj = mult[j][:lim]
-                ycodes = [c + d for c in ycodes for d in mj]
-            avail.append((ell, ycodes))
-        for s in range(k):
-            S_s = sends[s]
-            tau_s = tau[s]
-            best = inf
-            best_ell = -1
-            best_y = 0
-            for ell, ycodes in avail:
-                tau_ell = tau[ell]
-                first_fixed = S_s + L + recvs[ell]
-                base = code - strides[ell]
-                vals = [
-                    max(tau_ell[yc] + first_fixed, tau_s[base - yc] + S_s)
-                    for yc in ycodes
-                ]
-                v = min(vals)
-                if v < best:
-                    best = v
-                    best_ell = ell
-                    best_y = ycodes[vals.index(v)]
-            tau_s[code] = best
             ell_out[s][code] = best_ell
             y_out[s][code] = best_y
 
@@ -396,7 +283,8 @@ class _VectorCore(_DPCore):
             size *= c + 1
         sends = [ts.send(t) for t in range(k)]
         recvs = [ts.receive(t) for t in range(k)]
-        np = _numpy()
+        import numpy as np
+
         if k == 1:
             # the homogeneous early-exit scan is already amortized O(n);
             # run it on plain lists and convert to the flat layout
@@ -409,12 +297,7 @@ class _VectorCore(_DPCore):
             tau, ell, ysp = [t], [e], [y]
         else:
             tau, ell, ysp = _zero_buffers(np, k, size)
-            fill = _fill_general_numpy if np is not None else _fill_general_flat
-            args = (k, size, max_counts, strides, sends, recvs, L, tau, ell, ysp)
-            if np is not None:
-                fill(np, *args)
-            else:
-                fill(*args)
+            _fill_general_numpy(np, k, size, max_counts, strides, sends, recvs, L, tau, ell, ysp)
         self._max = tuple(max_counts)
         self._strides = tuple(strides)
         self._size = size
@@ -437,7 +320,8 @@ class _VectorCore(_DPCore):
             size *= c + 1
         sends = [ts.send(t) for t in range(k)]
         recvs = [ts.receive(t) for t in range(k)]
-        np = _numpy()
+        import numpy as np
+
         if k == 1:
             tau_list = [float(v) for v in old._tau[0]]
             tau_list.extend([0.0] * (size - old._size))
@@ -449,7 +333,7 @@ class _VectorCore(_DPCore):
             )
             t, e, y = _buffers_from_lists(np, tau_list, choice_list)
             tau, ell, ysp = [t], [e], [y]
-        elif np is not None:
+        else:
             tau, ell, ysp = _zero_buffers(np, k, size)
             old_strides = old._strides
             new_shape = tuple(new_max[j] + 1 for j in reversed(range(k)))
@@ -472,35 +356,6 @@ class _VectorCore(_DPCore):
                 ysp[s].reshape(new_shape)[prefix] = y_new.reshape(old_shape)
             _fill_general_numpy(
                 np, k, size, new_max, strides, sends, recvs, L, tau, ell, ysp,
-                skip_inside=old_max,
-            )
-        else:
-            tau, ell, ysp = _zero_buffers(np, k, size)
-            old_strides = old._strides
-            # copy old entries to their new packed positions, walking both
-            # codes with one mixed-radix odometer (as the scalar grow does)
-            digits = [0] * k
-            new_code = 0
-            for old_code in range(old._size):
-                if old_code:
-                    for j in range(k):
-                        if digits[j] < old_max[j]:
-                            digits[j] += 1
-                            new_code += strides[j]
-                            break
-                        digits[j] = 0
-                        new_code -= old_max[j] * strides[j]
-                for s in range(k):
-                    tau[s][new_code] = old._tau[s][old_code]
-                    ell[s][new_code] = old._ell[s][old_code]
-                    rem = int(old._ysplit[s][old_code])
-                    y_new = 0
-                    for j in range(k - 1, 0, -1):
-                        d, rem = divmod(rem, old_strides[j])
-                        y_new += d * strides[j]
-                    ysp[s][new_code] = y_new + rem
-            _fill_general_flat(
-                k, size, new_max, strides, sends, recvs, L, tau, ell, ysp,
                 skip_inside=old_max,
             )
         self._max = tuple(new_max)
@@ -553,11 +408,11 @@ def resolve_backend(backend: str, *, k: int = 0, states: int = 0) -> str:
     """Resolve a requested ``dp`` backend to ``scalar`` or ``vector``.
 
     ``auto`` picks the vectorized engine only where it wins: general-``k``
-    boxes of at least :data:`AUTO_VECTOR_MIN_STATES` states with numpy
-    importable.  Homogeneous (``k == 1``) instances always use the scalar
-    closed-form scan — it is already amortized O(n) and both backends
-    share it.  Because the engines are bit-identical, the resolution is
-    unobservable in planner outputs, caches and stores.
+    boxes of at least :data:`AUTO_VECTOR_MIN_STATES` states.  Homogeneous
+    (``k == 1``) instances always use the scalar closed-form scan — it is
+    already amortized O(n) and both backends share it.  Because the
+    engines are bit-identical, the resolution is unobservable in planner
+    outputs, caches and stores.
     """
     if backend not in DP_BACKENDS:
         raise SolverError(
@@ -565,7 +420,7 @@ def resolve_backend(backend: str, *, k: int = 0, states: int = 0) -> str:
         )
     if backend != "auto":
         return backend
-    if k == 1 or not numpy_available():
+    if k == 1:
         return "scalar"
     if states and states < AUTO_VECTOR_MIN_STATES:
         return "scalar"

@@ -18,12 +18,13 @@ from typing import Dict, List
 from repro.analysis.complexity import fit_power
 from repro.analysis.tables import Table
 from repro.api import Planner, PlanRequest
+from repro.api.tables import TableCacheConfig
 from repro.workloads.clusters import limited_type_cluster
 from repro.workloads.generator import multicast_from_cluster
 from repro.workloads.suites import suite
 
 # timing experiment (E4b): caching would turn repeats into no-ops
-_PLANNER = Planner(cache_size=0, reuse_tables=False)
+_PLANNER = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
 # correctness sweep (E4a): group-solve amortizes the dp side of the grid —
 # one table per canonical type system answers the whole suite, bit-identical
 # to per-instance solves (the exact cross-check still certifies every row)

@@ -17,10 +17,11 @@ from typing import Dict, List
 
 from repro.analysis.tables import Table
 from repro.api import Planner
+from repro.api.tables import TableCacheConfig
 from repro.core.dp_table import OptimalTable
 
 # timing experiment: fresh solves must not be served from a cache
-_PLANNER = Planner(cache_size=0, reuse_tables=False)
+_PLANNER = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
 from repro.workloads.clusters import limited_type_cluster
 from repro.workloads.generator import multicast_from_cluster
 

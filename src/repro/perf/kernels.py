@@ -164,14 +164,8 @@ def _dp_vector(mode: str, repeats: int):
     that drifts numerically fails the kernel, not just conformance.
     """
     from repro.core.dp import solve_dp
-    from repro.core.dp_vector import numpy_available, solve_dp_vector
+    from repro.core.dp_vector import solve_dp_vector
 
-    if not numpy_available():
-        raise ReproError(
-            "dp_vector kernel needs the numpy slab engine (the 'speed' "
-            "extra); the stdlib-array fallback is covered by the no-numpy "
-            "test leg, not by this floor"
-        )
     configs = (
         [(2, 64), (2, 80)] if mode == "quick" else [(2, 64), (2, 96), (3, 36)]
     )
@@ -346,6 +340,7 @@ def _greedy_scaling(mode: str, repeats: int):
 # ----------------------------------------------------------------------
 def _planner_batch(mode: str, repeats: int):
     from repro.api import Planner, PlanRequest
+    from repro.api.tables import TableCacheConfig
 
     suite_size, n = (32, 16) if mode == "quick" else (128, 24)
     requests = [
@@ -354,7 +349,7 @@ def _planner_batch(mode: str, repeats: int):
     ]
     cases: List[CaseResult] = []
     for jobs in (1, 4):
-        planner = Planner(cache_size=0, reuse_tables=False)
+        planner = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
         stats, batch = measure(
             lambda: planner.plan_batch(requests, jobs=jobs), repeats=repeats
         )
@@ -385,8 +380,8 @@ def _batch_amortized(mode: str, repeats: int):
     The workload mixes raw instances with renamed / power-of-two-rescaled
     equivalents, so the canonical bucketing (not just exact key reuse) is
     what earns the speedup.  The baseline is *raw* per-instance planning
-    (``reuse_tables=False`` — every request a full solve, the pre-PR-4
-    shape of fleet traffic), mirroring how the DP/greedy kernels compare
+    (table reuse off — every request a full solve, the pre-PR-4 shape
+    of fleet traffic), mirroring how the DP/greedy kernels compare
     against their frozen references.  Two integrity gates keep the floor
     honest: every output is asserted byte-identical — provenance and
     ``states_computed`` included — against that baseline, and the grouped
@@ -398,6 +393,7 @@ def _batch_amortized(mode: str, repeats: int):
     import json
 
     from repro.api import Planner, PlanRequest
+    from repro.api.tables import TableCacheConfig
     from repro.core.multicast import MulticastSet
     from repro.io.serialization import plan_result_to_dict
 
@@ -448,7 +444,7 @@ def _batch_amortized(mode: str, repeats: int):
         return planner.plan_batch(requests, group_solve=True)
 
     def per_instance():
-        planner = Planner(cache_size=0, reuse_tables=False)
+        planner = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
         return planner.plan_batch(requests, group_solve=False)
 
     (stats, batch), (ref_stats, ref_batch) = measure_pair(
@@ -508,8 +504,8 @@ def _delta_replan(mode: str, repeats: int):
     each repaired schedule is an ``O(n)`` materialization from the
     session's pinned :class:`~repro.core.dp_table.OptimalTable` instead
     of a cold DP re-plan.  The baseline re-plans every membership from
-    scratch (``reuse_tables=False``).  Three integrity gates keep the
-    floor honest: every update must actually take the repair path, every
+    scratch (table reuse off).  Three integrity gates keep the floor
+    honest: every update must actually take the repair path, every
     repaired plan is asserted byte-identical — provenance included — to
     the cold baseline of the same membership, and the shared table cache
     must show the steady-state signature (one build, one incremental
@@ -519,6 +515,7 @@ def _delta_replan(mode: str, repeats: int):
     import json
 
     from repro.api import Planner, PlanRequest
+    from repro.api.tables import TableCacheConfig
     from repro.core.multicast import MulticastSet
     from repro.core.node import Node
     from repro.core.repair import MembershipDelta, apply_delta
@@ -569,7 +566,7 @@ def _delta_replan(mode: str, repeats: int):
         return [update.result for update in updates]
 
     def full_replan():
-        cold = Planner(cache_size=0, reuse_tables=False)
+        cold = Planner(cache_size=0, table_config=TableCacheConfig(enabled=False))
         return [
             cold.plan(PlanRequest(instance=mset, solver="dp"))
             for mset in [base] + memberships
@@ -652,6 +649,7 @@ def _conformance_sweep(mode: str, repeats: int):
 # ----------------------------------------------------------------------
 def _service_throughput(mode: str, repeats: int):
     from repro.api import Planner, PlanRequest
+    from repro.api.tables import TableCacheConfig
     from repro.core.multicast import MulticastSet
     from repro.service import InProcessClient, PlanningService
 
@@ -675,7 +673,7 @@ def _service_throughput(mode: str, repeats: int):
         # cache- and table-reuse-free planner: every request is a real
         # solve routed through admission, sharding and the worker pool
         with PlanningService(
-            planner=Planner(cache_size=0, reuse_tables=False),
+            planner=Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)),
             num_shards=2,
             worker_mode="thread",
         ) as service:
@@ -718,6 +716,7 @@ def _service_resilience(mode: str, repeats: int):
     """
     from repro import faults
     from repro.api import Planner, PlanRequest
+    from repro.api.tables import TableCacheConfig
     from repro.core.multicast import MulticastSet
     from repro.faults import FaultPlan, FaultSpec
     from repro.service import PlanningService
@@ -739,7 +738,7 @@ def _service_resilience(mode: str, repeats: int):
     ]
     repeats = min(repeats, 3)
     service = PlanningService(
-        planner=Planner(cache_size=0, reuse_tables=False),
+        planner=Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)),
         num_shards=2,
         worker_mode="thread",
     )

@@ -56,7 +56,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.api.planner import CacheKey, Planner, _plan_standalone
+from repro.api.planner import CacheKey, Planner
 from repro.api.tables import TableCacheConfig
 from repro.api.request import PlanRequest, PlanResult
 from repro.core.repair import MembershipDelta
@@ -162,8 +162,11 @@ class PlanningService:
     Parameters
     ----------
     planner:
-        The engine to serve from; a fresh ``Planner(cache_size=cache_size)``
-        is built when omitted.
+        The engine to serve from; a fresh ``Planner(cache_size=cache_size,
+        table_config=table_config)`` is built when omitted.  Its table
+        cache is the only one the service's process holds: sessions,
+        thread/inline shard workers and degraded answers all solve
+        through it.
     store_path:
         Directory for the persistent :class:`PlanStore`; when given, the
         store is opened (warm-starting from existing segments) and attached
@@ -180,12 +183,13 @@ class PlanningService:
         Forwarded to the built planner / store when those are not supplied.
     table_config:
         Optimal-table policy (:class:`~repro.api.tables.TableCacheConfig`)
-        applied to the built planner *and* to the worker shards.  With a
-        ``snapshot_dir`` set, tables warm-start from mmap-backed snapshot
-        files at startup the same way plans warm-start from the store, and
-        process-mode shards attach the same resident snapshots instead of
-        rebuilding private copies.  A caller-supplied ``planner`` keeps its
-        own table policy; the config then only governs the shards.
+        for the built planner.  The planner's ``table_config`` is the
+        service's one table policy: process-mode shards are initialized
+        with it too.  With a ``snapshot_dir`` set, tables warm-start from
+        mmap-backed snapshot files the same way plans warm-start from the
+        store, and process-mode shards attach the same resident snapshots
+        instead of rebuilding private copies.  Not combinable with a
+        caller-supplied ``planner``, which carries its own policy.
     solve_deadline_s:
         Per-request solve budget.  A miss whose solve exceeds it is
         answered with a fast greedy plan plus the Theorem 1 bounds
@@ -224,15 +228,19 @@ class PlanningService:
             raise ReproError(
                 f"shutdown_timeout_s must be positive, got {shutdown_timeout_s}"
             )
+        if planner is not None and table_config is not None:
+            raise ReproError(
+                "pass table_config or a planner, not both: a supplied "
+                "planner's table_config is the service's table policy"
+            )
         self.solve_deadline_s = solve_deadline_s
         self.startup_timeout_s = startup_timeout_s
         self.shutdown_timeout_s = shutdown_timeout_s
-        if planner is not None:
-            self.planner = planner
-        elif table_config is not None:
-            self.planner = Planner(cache_size=cache_size, table_config=table_config)
-        else:
-            self.planner = Planner(cache_size=cache_size)
+        self.planner = (
+            planner
+            if planner is not None
+            else Planner(cache_size=cache_size, table_config=table_config)
+        )
         self.store: Optional[PlanStore] = None
         if store_path is not None:
             # attached as a cache tier while the service runs (_startup),
@@ -241,11 +249,13 @@ class PlanningService:
             self.store = PlanStore(store_path, segment_max_records=segment_max_records)
         self.metrics = MetricsRegistry()
         # the router shares the service registry so worker supervision
-        # (worker_restarts) surfaces in the metrics wire verb
+        # (worker_restarts) surfaces in the metrics wire verb, and solves
+        # through the planner's table cache: one cache per process
         self.router = ShardRouter(
             num_shards,
             mode=worker_mode,
-            table_config=table_config,
+            table_config=self.planner.table_config,
+            tables=self.planner.table_cache,
             metrics=self.metrics,
         )
         # group sessions repair against the *service* planner (its table
@@ -401,7 +411,7 @@ class PlanningService:
         fallback = replace(
             request.with_solver("greedy+reversal"), include_bounds=True
         )
-        result = _plan_standalone(fallback)
+        result = self.planner.solve_uncached(fallback)
         provenance = dict(result.provenance)
         provenance["degraded"] = True
         provenance["deadline_s"] = self.solve_deadline_s

@@ -294,17 +294,13 @@ class SessionManager:
         ):
             canon = request.instance.canonical_form()
             box = (canon.mset.type_keys(), canon.mset.latency)
-            # TableCacheConfig.pin_sessions=False opts a deployment out of
-            # session pinning: repairs still prefer the resident table but
-            # eviction pressure may drop it between deltas
-            pinning = planner.table_config.pin_sessions
             table = tables.acquire(
                 canon.mset,
                 merged.get("max_states"),
-                pin=pinning and box != session.pinned_box,
+                pin=box != session.pinned_box,
             )
             if table is not None:
-                if pinning and box != session.pinned_box:
+                if box != session.pinned_box:
                     old = session.pinned_box
                     session.pinned_box = box
                     if old is not None:

@@ -6,9 +6,9 @@ routed by its canonical **network** key
 canonical type system plus latency), so all traffic drawn from the same
 network lands on the same shard: concurrent duplicate (or merely
 *equivalent*) requests serialize behind one worker instead of burning
-several on the same solve, and the shard's worker answers repeated
-same-network ``dp`` traffic from the optimal table it already holds
-(:data:`repro.api.planner._STANDALONE_TABLES`) instead of rebuilding it.
+several on the same solve, and repeated same-network ``dp`` traffic is
+answered from the optimal table already built for it instead of
+rebuilding it.
 
 Each shard owns one single-worker executor, created lazily:
 
@@ -20,14 +20,17 @@ Each shard owns one single-worker executor, created lazily:
 - ``mode="inline"`` — solve on the caller's thread (tests and examples;
   blocks the event loop, so never the server default).
 
-A :class:`~repro.api.tables.TableCacheConfig` threads table policy down
-to the workers.  Process-mode workers are initialized with
-:func:`repro.api.planner.configure_standalone_tables`, so every shard
-process applies the same policy — and when the config names a
-``snapshot_dir``, each process *attaches* the directory's mmap-backed
-table snapshots instead of rebuilding private copies: the OS shares the
-resident pages across all shard processes.  Thread/inline workers share
-one router-local cache built from the same config.
+Thread and inline workers solve in the owner's process, so they solve
+through the :class:`~repro.api.tables.OptimalTableCache` the owner hands
+the router (the planning service hands its planner's cache): one process
+holds one table cache, and the router never builds one.  Process-mode
+workers cannot share it; each is initialized with
+:func:`repro.api.planner.configure_standalone_tables` and the owner's
+:class:`~repro.api.tables.TableCacheConfig`, so every shard process
+applies the same policy — and when the config names a ``snapshot_dir``,
+each process *attaches* the directory's mmap-backed table snapshots
+instead of rebuilding private copies: the OS shares the resident pages
+across all shard processes.
 
 Resilience
 ----------
@@ -79,7 +82,12 @@ WORKER_MODES = ("thread", "process", "inline")
 
 
 class ShardRouter:
-    """Route plan requests to ``num_shards`` single-worker executors."""
+    """Route plan requests to ``num_shards`` single-worker executors.
+
+    ``tables`` is the cache thread and inline workers solve through
+    (``None``: direct solves); ``table_config`` is the policy process-mode
+    workers build their own cache from (``None``: the default config).
+    """
 
     def __init__(
         self,
@@ -87,6 +95,7 @@ class ShardRouter:
         *,
         mode: str = "thread",
         table_config: Optional[TableCacheConfig] = None,
+        tables: Optional[OptimalTableCache] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if num_shards < 1:
@@ -101,11 +110,7 @@ class ShardRouter:
         self.table_config = (
             table_config.validate() if table_config is not None else None
         )
-        # thread/inline workers share one router-local cache; process-mode
-        # workers get their own via the executor initializer instead
-        self._tables: Optional[OptimalTableCache] = (
-            self.table_config.build_cache() if self.table_config is not None else None
-        )
+        self._tables = tables
         self._lock = threading.Lock()
         self._executors: Dict[int, Executor] = {}
         self._supervisors: Dict[int, Executor] = {}
@@ -134,16 +139,13 @@ class ShardRouter:
             executor = self._executors.get(shard)
             if executor is None:
                 if self.mode == "process":
-                    if self.table_config is not None:
-                        # same table policy in every shard process; with a
-                        # snapshot_dir the workers mmap-attach shared tables
-                        executor = ProcessPoolExecutor(
-                            max_workers=1,
-                            initializer=configure_standalone_tables,
-                            initargs=(self.table_config,),
-                        )
-                    else:
-                        executor = ProcessPoolExecutor(max_workers=1)
+                    # same table policy in every shard process; with a
+                    # snapshot_dir the workers mmap-attach shared tables
+                    executor = ProcessPoolExecutor(
+                        max_workers=1,
+                        initializer=configure_standalone_tables,
+                        initargs=(self.table_config,),
+                    )
                 else:
                     executor = ThreadPoolExecutor(
                         max_workers=1, thread_name_prefix=f"repro-shard-{shard}"
@@ -223,9 +225,7 @@ class ShardRouter:
                 pass
 
     def _solve_local(self, request: PlanRequest) -> PlanResult:
-        if self.table_config is not None:
-            return _plan_standalone_with(self._tables, request)
-        return _plan_standalone(request)
+        return _plan_standalone_with(self._tables, request)
 
     def _solve_in_process(
         self, shard: int, request: PlanRequest, deadline_s: Optional[float]
@@ -316,16 +316,6 @@ class ShardRouter:
         if executor is None:  # inline mode
             return self.solve_in_worker(shard, request)
         return executor.submit(self.solve_in_worker, shard, request).result()
-
-    @property
-    def tables(self) -> Optional[OptimalTableCache]:
-        """The router-local table cache (thread/inline modes, config given).
-
-        ``None`` without a ``table_config`` (workers then share the
-        module-level standalone cache) and in ``process`` mode (each
-        worker process owns its own cache, seeded by the initializer).
-        """
-        return self._tables
 
     def stats(self) -> Dict[str, int]:
         """Per-shard dispatch counters, e.g. ``{"shard_0": 12, ...}``."""

@@ -5,9 +5,13 @@ import json
 import pytest
 
 from repro.api import OptimalTableCache, Planner, PlanRequest
+from repro.api.tables import TableCacheConfig
 from repro.core.multicast import MulticastSet
 from repro.exceptions import ReproError, SolverError
 from repro.io.serialization import plan_result_to_dict
+
+#: Table reuse off: every dp plan is a direct solve.
+NO_TABLES = TableCacheConfig(enabled=False)
 
 
 def _canonical(result):
@@ -29,16 +33,16 @@ def _two_type(fast, slow, latency=1):
 class TestParity:
     @pytest.mark.parametrize("shape", [(3, 1), (5, 2), (2, 6), (1, 1)])
     def test_byte_identical_to_direct_solve(self, shape):
-        direct = Planner(cache_size=0, reuse_tables=False)
-        reusing = Planner(cache_size=0, reuse_tables=True)
+        direct = Planner(cache_size=0, table_config=NO_TABLES)
+        reusing = Planner(cache_size=0)
         mset = _two_type(*shape)
         assert _canonical(direct.plan(mset, "dp")) == _canonical(
             reusing.plan(mset, "dp")
         )
 
     def test_bounds_requests_also_identical(self):
-        direct = Planner(cache_size=0, reuse_tables=False)
-        reusing = Planner(cache_size=0, reuse_tables=True)
+        direct = Planner(cache_size=0, table_config=NO_TABLES)
+        reusing = Planner(cache_size=0)
         request_for = lambda: PlanRequest(
             instance=_two_type(4, 3), solver="dp", include_bounds=True
         )
@@ -49,8 +53,8 @@ class TestParity:
     def test_parity_independent_of_cache_history(self):
         # a planner that has served other shapes first must answer the
         # same bytes as a fresh one (service-parity depends on this)
-        fresh = Planner(cache_size=0, reuse_tables=True)
-        warmed = Planner(cache_size=0, reuse_tables=True)
+        fresh = Planner(cache_size=0)
+        warmed = Planner(cache_size=0)
         for fast, slow in [(6, 6), (2, 1), (5, 3)]:
             warmed.plan(_two_type(fast, slow), "dp")
         mset = _two_type(3, 2)
@@ -61,7 +65,7 @@ class TestParity:
 
 class TestReuse:
     def test_repeated_type_system_hits_the_table(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(4, 4), "dp")
         cache = planner.table_cache
         assert cache is not None and cache.builds == 1
@@ -69,7 +73,7 @@ class TestReuse:
         assert cache.builds == 1 and cache.hits == 1
 
     def test_growth_extends_incrementally(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(2, 2), "dp")
         planner.plan(_two_type(6, 6), "dp")  # outgrows the first table
         cache = planner.table_cache
@@ -80,7 +84,7 @@ class TestReuse:
     def test_equivalent_networks_share_a_table(self):
         # renamed nodes and power-of-two-rescaled overheads canonicalize
         # onto the same table (the planner passes canonical instances)
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(4, 4), "dp")
         scaled = MulticastSet.from_overheads(
             source=(4, 6),
@@ -92,46 +96,63 @@ class TestReuse:
         assert cache.builds == 1 and cache.hits == 1
 
     def test_latency_is_part_of_the_key(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(3, 3, latency=1), "dp")
         planner.plan(_two_type(3, 3, latency=2), "dp")
         assert planner.table_cache.builds == 2
 
     def test_reuse_disabled_has_no_cache(self):
-        planner = Planner(cache_size=0, reuse_tables=False)
+        planner = Planner(cache_size=0, table_config=NO_TABLES)
         planner.plan(_two_type(3, 3), "dp")
         assert planner.table_cache is None
 
     def test_non_reusable_solvers_bypass_the_cache(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         planner.plan(_two_type(4, 4), "greedy")
         assert len(planner.table_cache) == 0
 
+    def test_process_batch_workers_plan_under_the_planner_config(self, tmp_path):
+        # the workers' own caches get this planner's table policy: with a
+        # snapshot directory they write the shared file through
+        planner = Planner(
+            cache_size=0, table_config=TableCacheConfig(snapshot_dir=tmp_path)
+        )
+        requests = [
+            PlanRequest(instance=_two_type(fast, 6 - fast), solver="dp")
+            for fast in range(1, 6)
+        ]
+        batch = planner.plan_batch(requests, jobs=2, executor="process")
+        assert len(planner.table_cache) == 0  # nothing planned in-process
+        assert len(list(tmp_path.glob("table-*.snap"))) == 1
+        serial = Planner(cache_size=0, table_config=NO_TABLES).plan_batch(requests)
+        assert [_canonical(r) for r in batch] == [_canonical(r) for r in serial]
+
     def test_parallel_batch_shares_the_table(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         requests = [
             PlanRequest(instance=_two_type(fast, 8 - fast), solver="dp")
             for fast in range(1, 8)
         ] * 2
         batch = planner.plan_batch(requests, jobs=4)
-        serial = Planner(cache_size=0, reuse_tables=False).plan_batch(requests)
+        serial = Planner(cache_size=0, table_config=NO_TABLES).plan_batch(requests)
         assert [_canonical(r) for r in batch] == [_canonical(r) for r in serial]
 
 
 class TestGuards:
     def test_max_states_still_raises_identically(self):
-        planner = Planner(cache_size=0, reuse_tables=True)
+        planner = Planner(cache_size=0)
         with pytest.raises(SolverError, match="state space too large"):
             planner.plan(_two_type(9, 9), "dp", max_states=10)
 
     def test_oversized_growth_falls_back_to_direct_solve(self):
-        cache = OptimalTableCache(max_states=60)
+        # a request's own max_states caps what the cache builds for it
+        cache = OptimalTableCache()
         small = _two_type(2, 2)  # 2 * 3 * 3 = 18 states
-        assert cache.acquire(small) is not None
+        assert cache.acquire(small, 60) is not None
         big = _two_type(4, 4)  # growth would need 2 * 5 * 5 = 50 <= 60: ok
-        assert cache.acquire(big) is not None
+        assert cache.acquire(big, 60) is not None
         huge = _two_type(9, 9)  # 2 * 10 * 10 = 200 > 60: direct path
-        assert cache.acquire(huge) is None
+        assert cache.acquire(huge, 60) is None
         assert cache.builds == 1 and cache.extensions == 1
 
     def test_eviction_by_held_states(self):
@@ -165,11 +186,6 @@ class TestGuards:
         cache.clear()
         assert (len(cache), cache.hits, cache.builds) == (0, 0, 0)
         assert (cache.extensions, cache.evictions) == (0, 0)
-
-    def test_table_cache_states_validated(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ReproError, match="table_cache_states"):
-                Planner(table_cache_states=0)
 
 
 class TestPins:

@@ -1,7 +1,6 @@
-"""PlanRequest/PlanResult JSON round-trips and deprecation shims."""
+"""PlanRequest/PlanResult JSON round-trips and pre-façade import paths."""
 
 import json
-import warnings
 
 import pytest
 
@@ -88,27 +87,24 @@ class TestPlanResultRoundTrip:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("name", [
-        "get_scheduler",
-        "available_schedulers",
-        "scheduler_items",
-        "solve_dp",
-        "solve_exact",
+    @pytest.mark.parametrize("name,home", [
+        ("get_scheduler", "repro.algorithms.registry"),
+        ("available_schedulers", "repro.algorithms.registry"),
+        ("scheduler_items", "repro.algorithms.registry"),
+        ("solve_dp", "repro.core.dp"),
+        ("solve_exact", "repro.core.brute_force"),
     ])
-    def test_legacy_names_importable_with_warning(self, name, fig1_mset):
+    def test_legacy_names_live_only_at_their_home(self, name, home):
+        # the expired repro.api shims are gone; the callables they
+        # forwarded to stay importable from their own modules
+        import importlib
+
         import repro.api
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = getattr(repro.api, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), f"repro.api.{name} did not warn"
-        # the shim is the real callable
-        if name == "solve_dp":
-            assert shim(fig1_mset).value == 8
-        elif name == "get_scheduler":
-            assert shim("greedy")(fig1_mset).reception_completion == 10
+        with pytest.raises(AttributeError):
+            getattr(repro.api, name)
+        assert name not in repro.api.__all__
+        assert callable(getattr(importlib.import_module(home), name))
 
     def test_unknown_attribute_still_raises(self):
         import repro.api

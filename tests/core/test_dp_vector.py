@@ -1,12 +1,16 @@
 """The slab-vectorized DP backend is bit-identical to the scalar scan.
 
-Every test runs against both engines of :mod:`repro.core.dp_vector`:
-the numpy slab engine (skipped when numpy is unavailable) and the
-stdlib-``array`` fallback (forced via ``REPRO_NO_NUMPY``).  Identity is
-exact — ``==`` on values, schedules, argmin splits and state counts, no
-tolerances — because the planner, conformance corpus and snapshot codec
-all rely on the backends being interchangeable byte for byte.
+Identity is exact — ``==`` on values, schedules, argmin splits and state
+counts, no tolerances — because the planner, conformance corpus and
+snapshot codec all rely on the backends being interchangeable byte for
+byte.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -19,14 +23,11 @@ from repro.core.dp import (
 from repro.core.dp_vector import (
     AUTO_VECTOR_MIN_STATES,
     DP_BACKENDS,
-    NO_NUMPY_ENV,
     _VectorCore,
     core_cls_for,
-    numpy_available,
     resolve_backend,
     solve_dp_backend,
     solve_dp_vector,
-    vector_engine,
 )
 from repro.exceptions import SolverError
 from repro.experiments.dp_scaling import TYPE_SETS, _split
@@ -34,22 +35,14 @@ from repro.workloads.clusters import limited_type_cluster
 from repro.workloads.generator import multicast_from_cluster
 
 
+#: The experiment's type sets, plus a four-type network so the slab
+#: engine's N-d slicing is checked past three axes.
+TYPES = {**TYPE_SETS, 4: [(1, 1), (2, 3), (3, 5), (5, 8)]}
+
+
 def _instance(k: int, n: int, latency: float = 1):
-    nodes = limited_type_cluster(TYPE_SETS[k], _split(n + 1, k))
+    nodes = limited_type_cluster(TYPES[k], _split(n + 1, k))
     return multicast_from_cluster(nodes, latency=latency, source="slowest")
-
-
-@pytest.fixture(params=["numpy", "array"])
-def engine(request, monkeypatch):
-    """Run the test under one concrete vector engine."""
-    if request.param == "numpy":
-        if not numpy_available():
-            pytest.skip("numpy engine unavailable")
-        monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
-    else:
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-    assert vector_engine() == request.param
-    return request.param
 
 
 def assert_cores_identical(scalar: _DPCore, vector: _VectorCore) -> None:
@@ -76,9 +69,9 @@ def assert_cores_identical(scalar: _DPCore, vector: _VectorCore) -> None:
 @pytest.mark.parametrize(
     "k,n,latency",
     [(1, 1, 1), (1, 7, 2), (1, 24, 1), (2, 2, 1), (2, 9, 3), (2, 17, 1),
-     (3, 3, 1), (3, 8, 2), (3, 14, 1)],
+     (3, 3, 1), (3, 8, 2), (3, 14, 1), (4, 4, 1), (4, 9, 2), (4, 13, 1)],
 )
-def test_solve_parity(engine, k, n, latency):
+def test_solve_parity(k, n, latency):
     mset = _instance(k, n, latency)
     scalar = solve_dp(mset)
     vector = solve_dp_vector(mset)
@@ -88,7 +81,7 @@ def test_solve_parity(engine, k, n, latency):
     assert vector.states_computed == scalar.states_computed
 
 
-def test_choice_table_identity(engine):
+def test_choice_table_identity():
     for k, counts in [(2, (6, 5)), (3, (4, 3, 3))]:
         mset = _instance(k, sum(counts))
         types = TypeSystem.of(mset)
@@ -100,7 +93,7 @@ def test_choice_table_identity(engine):
         assert_cores_identical(scalar, vector)
 
 
-def test_incremental_grow_identity(engine):
+def test_incremental_grow_identity():
     """Two-step growth matches a fresh scalar build of the final box."""
     for k, first, second in [
         (2, (4, 3), (7, 6)),
@@ -133,14 +126,14 @@ def test_resolve_backend_auto_rules():
     assert resolve_backend("auto", k=1, states=big) == "scalar"
     # small boxes stay scalar: the slab setup cost dominates
     assert resolve_backend("auto", k=2, states=AUTO_VECTOR_MIN_STATES - 1) == "scalar"
-    if numpy_available():
-        assert resolve_backend("auto", k=2, states=big) == "vector"
+    assert resolve_backend("auto", k=2, states=big) == "vector"
 
 
-def test_resolve_backend_auto_without_numpy(monkeypatch):
-    monkeypatch.setenv(NO_NUMPY_ENV, "1")
-    assert not numpy_available()
-    assert resolve_backend("auto", k=2, states=AUTO_VECTOR_MIN_STATES * 10) == "scalar"
+def test_resolve_backend_auto_threshold_is_inclusive():
+    at = AUTO_VECTOR_MIN_STATES
+    assert resolve_backend("auto", k=2, states=at) == "vector"
+    assert resolve_backend("auto", k=3, states=at) == "vector"
+    assert resolve_backend("auto", k=3, states=at - 1) == "scalar"
 
 
 def test_unknown_backend_raises():
@@ -153,7 +146,7 @@ def test_unknown_backend_raises():
         core_cls_for("bogus")
 
 
-def test_solve_dp_backend_dispatch(engine):
+def test_solve_dp_backend_dispatch():
     mset = _instance(2, 8)
     for backend in DP_BACKENDS:
         solution = solve_dp_backend(mset, backend=backend)
@@ -166,8 +159,7 @@ def test_solve_dp_backend_dispatch(engine):
 def test_core_cls_for_matches_resolution():
     assert core_cls_for("scalar", k=2, states=10**6) is _DPCore
     assert core_cls_for("vector", k=2, states=1) is _VectorCore
-    if numpy_available():
-        assert core_cls_for("auto", k=2, states=10**6) is _VectorCore
+    assert core_cls_for("auto", k=2, states=10**6) is _VectorCore
     assert core_cls_for("auto", k=1, states=10**6) is _DPCore
 
 
@@ -205,3 +197,52 @@ def test_vector_bit_identical_on_quick_corpus():
         checked += 1
     # the corpus must actually exercise the DP, not skip everything
     assert checked > 100
+
+
+# ----------------------------------------------------------------------
+# numpy stays off the startup path
+# ----------------------------------------------------------------------
+NUMPY_PROBE = textwrap.dedent(
+    """
+    import sys
+
+    import repro.cli
+    from repro.api import Planner, PlanRequest
+    from repro.core.multicast import MulticastSet
+    from repro.service.server import PlanningService
+
+    def two_type(fast, slow):
+        return MulticastSet.from_overheads(
+            source=(2, 3),
+            destinations=[(1, 1)] * fast + [(2, 3)] * slow,
+            latency=1,
+        )
+
+    with PlanningService(worker_mode="thread") as service:
+        service.submit_sync(PlanRequest(instance=two_type(3, 3), solver="dp"))
+    print("numpy" in sys.modules)
+    Planner(cache_size=0).plan(two_type(40, 40), "dp")  # 3362 states: slabs
+    print("numpy" in sys.modules)
+    """
+)
+
+
+def test_numpy_loads_only_with_the_slab_engine():
+    """A service answers small dp plans without importing numpy.
+
+    ``repro serve`` imports the planner, and through it this module,
+    before it answers its first ping: a top-level numpy import here would
+    add numpy's whole import time to every service start.  The first
+    slab-engine build is what loads it.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    probe = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["False", "True"]

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.dp_table import TABLE_SNAPSHOT_FORMAT, OptimalTable
-from repro.core.dp_vector import NO_NUMPY_ENV, numpy_available
 from repro.exceptions import ReproError
 from repro.io.segments import read_snapshot, write_snapshot
 
@@ -168,31 +167,6 @@ class TestTableSnapshot:
         _built(backend="scalar").save_snapshot(a)
         _built(backend="vector").save_snapshot(b)
         assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.skipif(not numpy_available(), reason="needs both engines")
-    def test_numpy_and_array_engines_snapshot_identically(self, tmp_path):
-        a, b = tmp_path / "np.snap", tmp_path / "arr.snap"
-        _built(backend="vector").save_snapshot(a)
-        env_was = os.environ.get(NO_NUMPY_ENV)
-        os.environ[NO_NUMPY_ENV] = "1"
-        try:
-            _built(backend="vector").save_snapshot(b)
-        finally:
-            if env_was is None:
-                del os.environ[NO_NUMPY_ENV]
-            else:  # pragma: no cover - env hygiene
-                os.environ[NO_NUMPY_ENV] = env_was
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_load_without_numpy(self, tmp_path, monkeypatch):
-        path = tmp_path / "t.snap"
-        built = _built()
-        built.save_snapshot(path)
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        loaded = OptimalTable.load_snapshot(path)
-        assert loaded.completion(0, COUNTS) == built.completion(0, COUNTS)
-        mset = _instance(COUNTS)
-        assert loaded.schedule_for(mset) == built.schedule_for(mset)
 
     def test_loaded_table_extends(self, tmp_path):
         """Growth off a read-only mmap core matches a fresh build."""

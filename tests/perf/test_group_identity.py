@@ -14,9 +14,13 @@ import json
 
 from repro.api import Planner, PlanRequest
 from repro.api.solvers import capable_solvers
+from repro.api.tables import TableCacheConfig
 from repro.conformance import generate_corpus
 from repro.core.dp import estimated_states
 from repro.io.serialization import plan_result_to_dict
+
+#: Table reuse off: every dp plan is a direct solve.
+NO_TABLES = TableCacheConfig(enabled=False)
 
 #: Cap mirroring tests/perf/test_reference_identity.py: keep per-spec cost
 #: test-sized (the quick corpus tops out far below this).
@@ -45,7 +49,7 @@ def test_group_solve_bit_identical_on_quick_corpus():
     ]
     grouped_planner = Planner(cache_size=0)
     grouped = grouped_planner.plan_batch(requests, group_solve=True)
-    per_instance = Planner(cache_size=0, reuse_tables=False).plan_batch(
+    per_instance = Planner(cache_size=0, table_config=NO_TABLES).plan_batch(
         requests, group_solve=False
     )
     assert len(grouped) == len(per_instance) == len(requests)

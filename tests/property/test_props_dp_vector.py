@@ -1,51 +1,22 @@
 """Property-based tests: scalar/vector DP bit-identity over random instances.
 
 The vectorized backend's contract is *exact* equality with the scalar
-scan — value, schedule, states — on every correlated instance, under
-both engines (numpy slabs and the stdlib-``array`` fallback).  Random
+scan — value, schedule, states — on every correlated instance.  Random
 snapshot round trips ride along: saving and loading a table built from a
 random box must preserve every entry byte for byte.
 """
 
-import os
-
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from repro.core.dp import solve_dp
-from repro.core.dp_vector import NO_NUMPY_ENV, numpy_available, solve_dp_vector
+from repro.core.dp_vector import solve_dp_vector
 
 from tests.strategies import multicast_sets
 
-#: The engine fixture only flips a process-wide env var, identical across
-#: examples, so not resetting it per example is sound.
-ENGINE_SETTINGS = dict(
-    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-
-
-@pytest.fixture(params=["numpy", "array"])
-def engine(request):
-    """Both engines; Hypothesis forbids function-scoped monkeypatch."""
-    previous = os.environ.get(NO_NUMPY_ENV)
-    if request.param == "numpy":
-        if not numpy_available():
-            pytest.skip("numpy engine unavailable")
-        os.environ.pop(NO_NUMPY_ENV, None)
-    else:
-        os.environ[NO_NUMPY_ENV] = "1"
-    try:
-        yield request.param
-    finally:
-        if previous is None:
-            os.environ.pop(NO_NUMPY_ENV, None)
-        else:  # pragma: no cover - env hygiene
-            os.environ[NO_NUMPY_ENV] = previous
-
 
 @given(multicast_sets(max_n=8, max_types=3))
-@settings(max_examples=60, **ENGINE_SETTINGS)
-def test_vector_solve_bit_identical(engine, mset):
+@settings(max_examples=60, deadline=None)
+def test_vector_solve_bit_identical(mset):
     scalar = solve_dp(mset)
     vector = solve_dp_vector(mset)
     assert vector.value == scalar.value
@@ -56,8 +27,8 @@ def test_vector_solve_bit_identical(engine, mset):
 
 
 @given(multicast_sets(max_n=7, max_types=3, max_latency=4))
-@settings(max_examples=30, **ENGINE_SETTINGS)
-def test_vector_snapshot_round_trip(engine, tmp_path_factory, mset):
+@settings(max_examples=30, deadline=None)
+def test_vector_snapshot_round_trip(tmp_path_factory, mset):
     """A random table snapshots and reloads with every entry intact."""
     from repro.core.canonical import canonicalize
     from repro.core.dp_table import OptimalTable

@@ -169,21 +169,23 @@ class TestStoreTornAppendSite:
 class TestSnapshotCorruptSite:
     def test_corrupted_snapshot_fails_closed_and_rebuilds(self, tmp_path):
         config = TableCacheConfig(snapshot_dir=tmp_path)
-        router = ShardRouter(1, mode="thread", table_config=config)
+        tables = config.build_cache()
+        router = ShardRouter(1, mode="thread", tables=tables)
         try:
             request = PlanRequest(
                 instance=(mset := _fig1_like()), solver="dp"
             )
             with faults.inject(FaultPlan([FaultSpec("snapshot.corrupt", count=1)])):
                 tampered = router.solve_sync(request)
-            assert router.tables.stats()["snapshot_saves"] == 1
+            assert tables.stats()["snapshot_saves"] == 1
         finally:
             router.shutdown()
         # a restarted router must reject the tampered snapshot and rebuild
-        fresh = ShardRouter(1, mode="thread", table_config=config)
+        fresh_tables = config.build_cache()
+        fresh = ShardRouter(1, mode="thread", tables=fresh_tables)
         try:
             again = fresh.solve_sync(request)
-            stats = fresh.tables.stats()
+            stats = fresh_tables.stats()
             assert stats["snapshot_rejects"] == 1
             assert stats["attaches"] == 0
             assert stats["builds"] == 1

@@ -58,7 +58,7 @@ def _join(seq, name):
 
 
 def _cold(mset, solver="dp"):
-    return Planner(cache_size=0, reuse_tables=False).plan(
+    return Planner(cache_size=0, table_config=TableCacheConfig(enabled=False)).plan(
         PlanRequest(instance=mset, solver=solver)
     )
 

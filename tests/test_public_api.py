@@ -228,7 +228,6 @@ class TestDocsConsistency:
             "group_solve=",
             "prewarm_tables",
             "canonical_hits",
-            "table_cache_states",
             "plan-batch",
             "--no-group-solve",
             "speedup_vs_per_instance",
@@ -322,7 +321,6 @@ class TestDocsConsistency:
             "backend=vector",
             "slab",
             "bit-identical",
-            "REPRO_NO_NUMPY",
             "repro/table-snapshot-v1",
             "mmap",
             "zero-copy",
